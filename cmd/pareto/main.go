@@ -13,7 +13,8 @@
 // -corners replaces the bounds grid with the standard five-corner
 // process enumeration (one variation.CornerReport per circuit);
 // -montecarlo replaces it with a seeded Monte-Carlo yield run (one
-// variation.MCResult per circuit, same seed → byte-identical JSON).
+// variation.MCResult per circuit, same seed → byte-identical JSON;
+// -sweep-workers bounds how many samples solve at once).
 //
 // The delay axis scales the derived arrival bound A0; the noise axis
 // scales the variable part of the crosstalk bound X_B. Cells solve
@@ -63,8 +64,7 @@ func main() {
 	cold := flag.Bool("cold", false, "solve every cell independently instead of warm-starting from neighbours")
 	s1 := flag.Bool("s1", false, "paper-faithful S1 size reset inside LRS and dual restart per cell (results independent of warm-start seeding)")
 	full := flag.Bool("full", false, "full evaluation passes every sweep (incremental escape hatch)")
-	lockstep := flag.Bool("lockstep", false, "batch independent cells through one shared evaluator in lockstep (cells bit-identical to solo solves)")
-	sweepWorkers := flag.Int("sweep-workers", 0, "grid rows solved concurrently (0 = all cores; results bit-identical at every width)")
+	sweepWorkers := flag.Int("sweep-workers", 0, "grid rows (or Monte-Carlo samples) solved concurrently (0 = all cores; results bit-identical at every width)")
 	cellWorkers := flag.Int("cell-workers", 1, "solver goroutines per cell (0 = 1: the sweep level owns the cores; results bit-identical at every width)")
 	out := flag.String("out", "", "output path for the JSON grid (default: stdout)")
 	corners := flag.Bool("corners", false, "enumerate the standard process corners instead of sweeping the bounds grid")
@@ -90,7 +90,6 @@ func main() {
 		ColdLRS:       *s1,
 		PrimalOnly:    *s1, // S1 mode exists to make results seed-independent
 		FullPasses:    *full,
-		Lockstep:      *lockstep,
 	}
 	var results any
 	if *corners || *montecarlo {
@@ -127,10 +126,12 @@ func main() {
 				reports = append(reports, cornersOut{Circuit: spec.Name, Report: rep})
 				continue
 			}
+			// Samples are independent solves, like cold grid cells:
+			// -sweep-workers bounds how many run at once.
 			res, err := variation.MonteCarlo(inst, variation.MCOptions{
 				Samples: *samples, Seed: *seed,
 				Sigmas:        variation.Sigmas{R: *sigmaR, C: *sigmaC, Threshold: *sigmaVT},
-				MaxIterations: *maxIter, Epsilon: *epsilon, Workers: *cellWorkers,
+				MaxIterations: *maxIter, Epsilon: *epsilon, Workers: *sweepWorkers,
 			})
 			if err != nil {
 				log.Fatalf("%s: %v", spec.Name, err)

@@ -10,9 +10,10 @@ package repro
 // (`go test -run TestGolden -update .` / `make golden`) and commit the
 // rewritten JSON together with the numerical change that explains it.
 //
-// Beyond the snapshot, each fixture re-runs at other worker widths (and,
-// for Monte-Carlo, on the solo path) and demands the identical bytes —
-// the variation layer's determinism contract at ISCAS scale.
+// Beyond the snapshot, each fixture re-runs at other worker widths (for
+// Monte-Carlo, other numbers of samples in flight) and demands the
+// identical bytes — the variation layer's determinism contract at ISCAS
+// scale.
 
 import (
 	"encoding/json"
@@ -92,8 +93,8 @@ func TestGoldenVariationCorners(t *testing.T) {
 }
 
 // TestGoldenVariationMonteCarlo pins the seed-7 Monte-Carlo run of c432:
-// the snapshot bitwise on goldenArch, plus lockstep-width invariance and
-// lockstep ≡ solo, bitwise everywhere.
+// the snapshot bitwise on goldenArch on the sequential Workers: 1 path,
+// plus invariance under fanned-out samples, bitwise everywhere.
 func TestGoldenVariationMonteCarlo(t *testing.T) {
 	inst, b := variationInstance(t)
 	opt := variation.MCOptions{
@@ -102,6 +103,7 @@ func TestGoldenVariationMonteCarlo(t *testing.T) {
 		Sigmas:        variation.Sigmas{R: 0.05, C: 0.05, Threshold: 0.08},
 		Bounds:        &b,
 		MaxIterations: 20,
+		Workers:       1,
 	}
 	ref, err := variation.MonteCarlo(inst, opt)
 	if err != nil {
@@ -109,7 +111,7 @@ func TestGoldenVariationMonteCarlo(t *testing.T) {
 	}
 	checkGoldenJSON(t, "c432-mc-seed7.json", ref)
 
-	for _, w := range []int{4, 8} {
+	for _, w := range []int{2, 8, 0} {
 		wopt := opt
 		wopt.Workers = w
 		res, err := variation.MonteCarlo(inst, wopt)
@@ -117,16 +119,7 @@ func TestGoldenVariationMonteCarlo(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(ref, res) {
-			t.Errorf("lockstep Workers=%d diverged from Workers=1", w)
+			t.Errorf("Workers=%d Monte-Carlo diverged from Workers=1", w)
 		}
-	}
-	sopt := opt
-	sopt.Solo = true
-	solo, err := variation.MonteCarlo(inst, sopt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref, solo) {
-		t.Error("solo Monte-Carlo diverged from lockstep")
 	}
 }

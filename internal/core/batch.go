@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"repro/internal/fanout"
 	"repro/internal/rc"
 )
@@ -49,79 +47,6 @@ func solveOne(job BatchJob) BatchResult {
 		opt.Workers = 1
 	}
 	sol, err := NewSolver(job.Ev, opt)
-	if err != nil {
-		return BatchResult{Err: err}
-	}
-	defer sol.Close()
-	res, err := sol.Run()
-	if err != nil {
-		return BatchResult{Err: err}
-	}
-	return BatchResult{Result: res}
-}
-
-// BatchOptions configures SolveBatchOpt. The zero value reproduces
-// SolveBatch(jobs, 0).
-type BatchOptions struct {
-	// Workers: without Lockstep, the batch-level goroutine cap as in
-	// SolveBatch (0 = all cores). With Lockstep, the parallel width of the
-	// shared batched evaluator passes (0 or 1 = serial); results are
-	// bit-identical at every width either way.
-	Workers int
-	// Lockstep advances all jobs iteration-by-iteration through one shared
-	// rc.Batch: every solver's LRS passes rendezvous into single levelized
-	// rounds, amortizing per-level barriers across the whole batch, and
-	// converged jobs retire without perturbing the others' bits. Requires
-	// every job to share one evaluator topology (the same Graph and
-	// Couplings values); mixed-topology batches fall back to the plain
-	// concurrent path. Each job's Result is bitwise equal to its solo
-	// solve. Unlike the plain path, lockstep solves run on replicas: the
-	// jobs' own evaluators seed the replicas but are left untouched.
-	Lockstep bool
-}
-
-// SolveBatchOpt is SolveBatch with explicit batch options; see
-// BatchOptions.
-func SolveBatchOpt(jobs []BatchJob, opt BatchOptions) []BatchResult {
-	if !opt.Lockstep || len(jobs) == 0 {
-		return SolveBatch(jobs, opt.Workers)
-	}
-	g, cs := jobs[0].Ev.Graph(), jobs[0].Ev.Couplings()
-	for _, j := range jobs[1:] {
-		if j.Ev.Graph() != g || j.Ev.Couplings() != cs {
-			return SolveBatch(jobs, opt.Workers)
-		}
-	}
-	results := make([]BatchResult, len(jobs))
-	ls, err := NewLockstep(g, cs, len(jobs), opt.Workers)
-	if err != nil {
-		for i := range results {
-			results[i] = BatchResult{Err: err}
-		}
-		return results
-	}
-	defer ls.Close()
-	var wg sync.WaitGroup
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer ls.Leave()
-			results[i] = solveLockstep(ls, i, jobs[i])
-		}(i)
-	}
-	wg.Wait()
-	return results
-}
-
-// solveLockstep runs one job on its lockstep replica, seeded with the
-// job evaluator's current sizes (the same state solveOne would start
-// from).
-func solveLockstep(ls *Lockstep, rep int, job BatchJob) BatchResult {
-	if err := ls.Ev(rep).SetSizes(job.Ev.X); err != nil {
-		return BatchResult{Err: err}
-	}
-	sol, err := NewLockstepSolver(ls, rep, job.Options)
 	if err != nil {
 		return BatchResult{Err: err}
 	}

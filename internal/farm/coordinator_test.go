@@ -6,17 +6,21 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/farm/api"
+	"repro/internal/rc"
 	"repro/internal/sweep"
+	"repro/internal/variation"
 )
 
 // testClock is the injected coordinator clock: reaping tests advance time
@@ -323,6 +327,90 @@ func TestResultAfterCancel(t *testing.T) {
 	}
 	if rr := postResult(c, job.ID, token, cellLine(0, 0)); rr.Code != http.StatusGone {
 		t.Fatalf("result for a cancelled run got %d, want 410", rr.Code)
+	}
+}
+
+// TestRunWaitsForLastCallback: Sweep and MonteCarlo must not return
+// while the result handler is still inside the OnCell/onSample call of
+// the result that completed the run — otherwise a streaming caller ends
+// its response before the last cell's line (or sample's event) is out.
+// The callbacks sleep so the handler is reliably still inside the last
+// one when the run's final result lands.
+func TestRunWaitsForLastCallback(t *testing.T) {
+	const nap = 50 * time.Millisecond
+	t.Run("sweep", func(t *testing.T) {
+		c := testCoordinator(newTestClock())
+		w := register(t, c, "w")
+		var seen atomic.Int32
+		done := startSweep(t, context.Background(), c, sweep.Options{
+			DelayScale: []float64{1, 1.1}, MaxIterations: 2,
+			OnCell: func(*sweep.Cell) { time.Sleep(nap); seen.Add(1) },
+		})
+		job, token := lease(t, c, w)
+		posted := make(chan struct{})
+		go func() {
+			defer close(posted)
+			lines := []api.ResultLine{cellLine(0, 0), cellLine(1, 0), {Done: true}}
+			if rr := postResult(c, job.ID, token, lines...); rr.Code != http.StatusOK {
+				t.Errorf("cell stream refused: %d %s", rr.Code, rr.Body)
+			}
+		}()
+		if err := <-done; err != nil {
+			t.Fatalf("sweep failed: %v", err)
+		}
+		if n := seen.Load(); n != 2 {
+			t.Errorf("Sweep returned after %d of 2 OnCell calls", n)
+		}
+		<-posted
+	})
+	t.Run("montecarlo", func(t *testing.T) {
+		c := testCoordinator(newTestClock())
+		w := register(t, c, "w")
+		var seen atomic.Int32
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.MonteCarlo(context.Background(), gridSpec(), api.MonteCarloJob{Lo: 0, Hi: 3},
+				func(*variation.Sample) { time.Sleep(nap); seen.Add(1) })
+			done <- err
+		}()
+		job, token := lease(t, c, w)
+		posted := make(chan struct{})
+		go func() {
+			defer close(posted)
+			var lines []api.ResultLine
+			for i := job.MonteCarlo.Lo; i < job.MonteCarlo.Hi; i++ {
+				lines = append(lines, api.ResultLine{Sample: &api.MCSampleResult{
+					Index: i, Perturb: rc.Nominal(), Result: &core.Result{X: []float64{float64(i)}},
+				}})
+			}
+			lines = append(lines, api.ResultLine{Done: true})
+			if rr := postResult(c, job.ID, token, lines...); rr.Code != http.StatusOK {
+				t.Errorf("sample stream refused: %d %s", rr.Code, rr.Body)
+			}
+		}()
+		if err := <-done; err != nil {
+			t.Fatalf("montecarlo failed: %v", err)
+		}
+		if n := seen.Load(); n != 3 {
+			t.Errorf("MonteCarlo returned after %d of 3 onSample calls", n)
+		}
+		<-posted
+	})
+}
+
+// TestMonteCarloSampleCap: a sample range above variation.MaxSamples is
+// refused by the coordinator before it sizes the run's sample slots, and
+// by a worker before it draws a single perturbation — a lease asking for
+// two billion samples must not ask for tens of gigabytes.
+func TestMonteCarloSampleCap(t *testing.T) {
+	huge := api.MonteCarloJob{Lo: 0, Hi: 2_000_000_000}
+	c := testCoordinator(newTestClock())
+	if _, err := c.MonteCarlo(context.Background(), gridSpec(), huge, nil); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Errorf("coordinator accepted a %d-sample run: %v", huge.Hi, err)
+	}
+	wk := &worker{}
+	if err := wk.executeMonteCarlo(context.Background(), nil, &huge, json.NewEncoder(io.Discard)); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Errorf("worker accepted a %d-sample lease: %v", huge.Hi, err)
 	}
 }
 

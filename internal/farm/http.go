@@ -142,7 +142,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			if cell != nil && j.run.onCell != nil {
-				j.run.onCell(cell)
+				c.deliver(j.run, func() { j.run.onCell(cell) })
 			}
 		case line.Solve != nil:
 			if err := c.recordSolve(j, line.Solve); err != nil {
@@ -156,7 +156,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			if s != nil && j.run.onSample != nil {
-				j.run.onSample(s)
+				c.deliver(j.run, func() { j.run.onSample(s) })
 			}
 		case line.Error != "":
 			// A worker-reported error is deterministic — a re-run would fail

@@ -3,6 +3,7 @@ package farm
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -51,6 +52,13 @@ type run struct {
 	mcLeft     int
 	mcLo       int
 	onSample   func(*variation.Sample)
+
+	// callbacks counts recorded cells and samples whose onCell/onSample
+	// call has not returned yet; idle (on the coordinator's mu) is
+	// broadcast when it drops to zero. await drains it, so Sweep and
+	// MonteCarlo never return while a result is still being delivered.
+	callbacks int
+	idle      *sync.Cond
 }
 
 // finished reports whether the run stopped accepting results (completed,
@@ -92,7 +100,7 @@ func (c *Coordinator) completeLocked(r *run) {
 // newRunLocked allocates a run. Caller holds c.mu.
 func (c *Coordinator) newRunLocked(spec api.CircuitSpec) *run {
 	c.nextRun++
-	r := &run{id: c.nextRun, spec: spec, done: make(chan struct{})}
+	r := &run{id: c.nextRun, spec: spec, done: make(chan struct{}), idle: sync.NewCond(&c.mu)}
 	c.runs[r.id] = r
 	return r
 }
@@ -109,7 +117,8 @@ func (c *Coordinator) addJobLocked(r *run, seq int, solve *api.SolveJob, sw *api
 	c.enqueueLocked(j)
 }
 
-// await blocks until the run finishes or ctx is cancelled; cancellation
+// await blocks until the run finishes or ctx is cancelled, and then until
+// every result callback already under way has returned; cancellation
 // kills the run so its jobs stop being dispatched and in-flight results
 // are refused.
 func (c *Coordinator) await(ctx context.Context, r *run) error {
@@ -126,8 +135,24 @@ func (c *Coordinator) await(ctx context.Context, r *run) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for r.callbacks > 0 {
+		r.idle.Wait()
+	}
 	delete(c.runs, r.id)
 	return r.err
+}
+
+// deliver hands one recorded result to its run's callback outside the
+// lock, then releases the hold recordCell/recordSample put on await.
+func (c *Coordinator) deliver(r *run, fn func()) {
+	defer func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if r.callbacks--; r.callbacks == 0 {
+			r.idle.Broadcast()
+		}
+	}()
+	fn()
 }
 
 // Solve dispatches one full OGWS solve to the farm and waits for its
@@ -212,9 +237,8 @@ func (c *Coordinator) Sweep(ctx context.Context, spec api.CircuitSpec, inst *ben
 	if independent {
 		for i := 0; i < rows; i++ {
 			c.addJobLocked(r, i, nil, &api.SweepJob{
-				Lockstep: opt.Lockstep,
-				Seed:     initX,
-				Cells:    cellSpecs(res, i, 0, cols),
+				Seed:  initX,
+				Cells: cellSpecs(res, i, 0, cols),
 
 				MaxIterations:     opt.MaxIterations,
 				Epsilon:           opt.Epsilon,
@@ -284,11 +308,15 @@ func spineSpecs(res *sweep.Result) []api.CellSpec {
 // write wins: a duplicate (an at-least-once re-run after a reap) is
 // bitwise equal by the determinism contract, so it is simply dropped.
 // Returns the cell to hand to the run's OnCell callback (nil for
-// duplicates) — the caller invokes it outside the lock.
+// duplicates and for a run that died meanwhile) — the caller invokes it
+// outside the lock through deliver.
 func (c *Coordinator) recordCell(j *job, cr *api.CellResult) (*sweep.Cell, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r := j.run
+	if r.dead {
+		return nil, nil
+	}
 	if r.res == nil {
 		return nil, fmt.Errorf("farm: cell result for non-sweep run %d", r.id)
 	}
@@ -318,6 +346,9 @@ func (c *Coordinator) recordCell(j *job, cr *api.CellResult) (*sweep.Cell, error
 		if r.spineLeft == 0 {
 			c.addRowJobsLocked(r)
 		}
+	}
+	if r.onCell != nil {
+		r.callbacks++
 	}
 	if r.remaining == 0 {
 		c.completeLocked(r)
@@ -382,6 +413,9 @@ func (c *Coordinator) MonteCarlo(ctx context.Context, spec api.CircuitSpec, job 
 	if job.Lo < 0 || job.Hi <= job.Lo {
 		return nil, fmt.Errorf("farm: montecarlo range [%d, %d) is empty or negative", job.Lo, job.Hi)
 	}
+	if job.Hi > variation.MaxSamples {
+		return nil, fmt.Errorf("farm: montecarlo range [%d, %d) exceeds the %d-sample cap", job.Lo, job.Hi, variation.MaxSamples)
+	}
 	k := job.Hi - job.Lo
 	shards := c.LiveWorkers()
 	if shards < 1 {
@@ -416,11 +450,15 @@ func (c *Coordinator) MonteCarlo(ctx context.Context, spec api.CircuitSpec, job 
 // set. First write wins, exactly as recordCell: a duplicate from an
 // at-least-once re-run is bitwise equal by the determinism contract, so
 // it is dropped. Returns the sample to hand to the run's onSample hook
-// (nil for duplicates) — the caller invokes it outside the lock.
+// (nil for duplicates and for a run that died meanwhile) — the caller
+// invokes it outside the lock through deliver.
 func (c *Coordinator) recordSample(j *job, sr *api.MCSampleResult) (*variation.Sample, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r := j.run
+	if r.dead {
+		return nil, nil
+	}
 	if r.mcRecorded == nil {
 		return nil, fmt.Errorf("farm: sample result for non-montecarlo run %d", r.id)
 	}
@@ -439,6 +477,9 @@ func (c *Coordinator) recordSample(j *job, sr *api.MCSampleResult) (*variation.S
 	r.mcSamples[idx] = variation.Sample{Index: sr.Index, Perturb: sr.Perturb, Result: sr.Result}
 	if w := c.workers[j.worker]; w != nil {
 		w.samplesSolved++
+	}
+	if r.onSample != nil {
+		r.callbacks++
 	}
 	if r.mcLeft == 0 {
 		c.completeLocked(r)

@@ -50,10 +50,10 @@ type storedCorners struct {
 
 // mcKey hashes everything that determines a Monte-Carlo run's bits: the
 // circuit content hash, the resolved bounds, the sample count, seed, and
-// sigmas, and the normalized solver knobs. Workers and Solo are
-// deliberately excluded — the run is bit-identical at every lockstep
-// width and on the solo path (the variation oracle pins it) — so the
-// same run re-requested with different scheduling dedups.
+// sigmas, and the normalized solver knobs. Workers is deliberately
+// excluded — the run is bit-identical however many samples solve at once
+// (the variation oracle pins it) — so the same run re-requested with
+// different scheduling dedups.
 func mcKey(circuitKey string, b bench.Bounds, samples int, seed uint64, sg variation.Sigmas, maxIter int, epsilon float64) string {
 	h := sha256.New()
 	put := func(v uint64) {
@@ -153,14 +153,12 @@ type montecarloRequest struct {
 	Samples int              `json:"samples"`
 	Seed    uint64           `json:"seed,omitempty"`
 	Sigmas  variation.Sigmas `json:"sigmas"`
-	// Solver knobs; 0 keeps the defaults. Workers: 0 = server default,
-	// negative = all cores — results bit-identical at every width.
+	// Solver knobs; 0 keeps the defaults. Workers is how many samples
+	// solve at once on a local run (0 = server default, negative = all
+	// cores) — results bit-identical at every width.
 	MaxIterations int     `json:"max_iterations,omitempty"`
 	Epsilon       float64 `json:"epsilon,omitempty"`
 	Workers       int     `json:"workers,omitempty"`
-	// Solo solves the samples sequentially on per-sample evaluators
-	// instead of the lockstep batch — scheduling only, bits identical.
-	Solo bool `json:"solo,omitempty"`
 	// NoDedup forces the run even when the store already holds this exact
 	// run (same circuit, bounds, seed, samples, sigmas, knobs).
 	NoDedup bool `json:"no_dedup,omitempty"`
@@ -196,6 +194,10 @@ func (s *Server) handleMonteCarlo(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Samples <= 0 {
 		writeError(w, http.StatusBadRequest, "montecarlo: samples must be positive, got %d", req.Samples)
+		return
+	}
+	if req.Samples > variation.MaxSamples {
+		writeError(w, http.StatusBadRequest, "montecarlo: samples %d exceeds the cap of %d", req.Samples, variation.MaxSamples)
 		return
 	}
 	if err := req.Sigmas.Validate(); err != nil {
@@ -283,7 +285,6 @@ func (s *Server) handleMonteCarlo(w http.ResponseWriter, r *http.Request) {
 			MaxIterations: req.MaxIterations,
 			Epsilon:       req.Epsilon,
 			Workers:       workers,
-			Solo:          req.Solo,
 			Cancel:        func() bool { return r.Context().Err() != nil },
 			OnSample:      onSample,
 		})

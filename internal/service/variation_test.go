@@ -23,6 +23,8 @@ func TestMonteCarloErrors(t *testing.T) {
 		{"unknown field", `{"key":"x","smples":3}`, http.StatusBadRequest, "unknown field"},
 		{"unknown key", `{"key":"nope","samples":3}`, http.StatusNotFound, "no cached circuit"},
 		{"zero samples", `{"key":"` + key + `"}`, http.StatusBadRequest, "samples must be positive"},
+		{"samples above cap", `{"key":"` + key + `","samples":2000000000}`, http.StatusBadRequest, "exceeds the cap"},
+		{"retired solo field", `{"key":"` + key + `","samples":3,"solo":true}`, http.StatusBadRequest, "unknown field"},
 		{"negative sigma", `{"key":"` + key + `","samples":3,"sigmas":{"r":-0.1}}`, http.StatusBadRequest, "sigma"},
 		{"nan sigma", `{"key":"` + key + `","samples":3,"sigmas":{"c":NaN}}`, http.StatusBadRequest, "bad montecarlo request"},
 	}

@@ -129,7 +129,7 @@ func resolveBounds(inst *bench.Instance, b *bench.Bounds) bench.Bounds {
 // raw bound fixed would make every slow-C variant infeasible by
 // construction, so the bound carries the offset's delta and holds the
 // removable noise budget (bound − offset) constant instead. Pure
-// arithmetic in (bounds, offset, perturb): the lockstep and solo paths
+// arithmetic in (bounds, offset, perturb): a local run and a farm shard
 // compute the identical bound, preserving bit-identity.
 func perturbedBounds(b bench.Bounds, offset float64, p rc.Perturb) bench.Bounds {
 	b.NoiseBound += (p.C - 1) * offset

@@ -3,27 +3,26 @@
 // MonteCarlo draws K technology perturbations from the seeded sampler,
 // sizes each perturbed replica with the full OGWS solver, and reports
 // per-sample results plus delay/area/noise distributions and the
-// delay-constraint yield. The K solves run in lockstep by default
-// (core.Lockstep over an rc.NewScaledBatch): one levelized pass advances
-// every in-flight sample per LRS sweep, and a converged sample retires
-// without touching the survivors' bits.
+// delay-constraint yield. The K solves are independent jobs: each sample
+// solves on its own perturbed replica with a serial solver, and the
+// samples fan out over MCOptions.Workers goroutines.
 //
 // Determinism contract (pinned by the oracle suite and FuzzVariation):
-// same seed → byte-identical sample set; each lockstep sample's result
-// is bitwise equal to a solo solve of the identically-perturbed
-// instance; and a distributed run that shards samples across workers
-// reassembles the identical bytes, because every sample is a pure
-// function of (instance, bounds, seed, index).
+// same seed → byte-identical sample set; each sample's result is the
+// same bytes however many samples run at once; and a distributed run
+// that shards samples across workers reassembles the identical bytes,
+// because every sample is a pure function of (instance, bounds, seed,
+// index).
 package variation
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/fanout"
 	"repro/internal/rc"
 )
 
@@ -92,14 +91,14 @@ type MCOptions struct {
 	// Solver knobs, normalized like core.Options.validate.
 	MaxIterations int
 	Epsilon       float64
-	// Workers is the parallel width of the shared lockstep passes (and,
-	// on the solo path, of each solver); results are bit-identical at
-	// every width.
+	// Workers is how many samples solve at once, each on a serial solver
+	// (≤0 = all cores, 1 = one after another); results are bit-identical
+	// at every width.
 	Workers int
-	// Solo disables lockstep batching: each sample runs on its own solo
-	// solver, sequentially. The result is bit-identical to the lockstep
-	// run — this is the oracle and benchmark comparison path, not a
-	// results knob.
+	// Solo is retired: samples always solve as independent solo solves,
+	// and the field is kept only so existing callers compile.
+	//
+	// Deprecated: ignored.
 	Solo bool
 	// Cancel is polled at solver iteration boundaries.
 	Cancel func() bool
@@ -155,7 +154,6 @@ func MonteCarlo(inst *bench.Instance, opt MCOptions) (*MCResult, error) {
 		MaxIterations: opt.MaxIterations,
 		Epsilon:       opt.Epsilon,
 		Workers:       opt.Workers,
-		Solo:          opt.Solo,
 		Cancel:        opt.Cancel,
 	})
 	if err != nil {
@@ -181,7 +179,6 @@ type SolveOptions struct {
 	MaxIterations int
 	Epsilon       float64
 	Workers       int
-	Solo          bool
 	Cancel        func() bool
 }
 
@@ -193,51 +190,22 @@ type SolveOptions struct {
 // (instance, bounds, knobs, perturbs[i]) only, never of which other
 // samples share the call — so a shard of a larger sample set solves to
 // the identical bytes the full local run produces for those indices.
+// Each sample runs a serial solver on its own replica; opt.Workers bounds
+// how many run at once (≤0 = all cores). On failure the lowest-index
+// sample's error is returned.
 func SolveSamples(inst *bench.Instance, bounds bench.Bounds, perturbs []rc.Perturb, opt SolveOptions) ([]*core.Result, error) {
 	offset := constantOffset(inst)
-	sampleOptions := func(r int) core.Options {
-		so := solverOptions(perturbedBounds(bounds, offset, perturbs[r]),
-			opt.MaxIterations, opt.Epsilon, opt.Workers, false, false)
-		so.Cancel = opt.Cancel
-		return so
-	}
-	k := len(perturbs)
-	results := make([]*core.Result, k)
-	errs := make([]error, k)
-	if opt.Solo || k == 1 {
-		for r := 0; r < k; r++ {
-			results[r], errs[r] = solveSample(inst, perturbs[r], sampleOptions(r))
-			if errs[r] != nil {
-				break
-			}
-		}
-	} else {
-		b, err := inst.PerturbedBatch(perturbs)
+	results := make([]*core.Result, len(perturbs))
+	errs := make([]error, len(perturbs))
+	fanout.Each(len(perturbs), opt.Workers, func(r int) {
+		sopt := solverOptions(perturbedBounds(bounds, offset, perturbs[r]),
+			opt.MaxIterations, opt.Epsilon, 1, false, false)
+		sopt.Cancel = opt.Cancel
+		results[r], errs[r] = solveSample(inst, perturbs[r], sopt)
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
-		}
-		ls := core.NewLockstepBatch(b, opt.Workers)
-		var wg sync.WaitGroup
-		for r := 0; r < k; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				defer ls.Leave()
-				solver, err := core.NewLockstepSolver(ls, r, sampleOptions(r))
-				if err != nil {
-					errs[r] = err
-					return
-				}
-				defer solver.Close()
-				results[r], errs[r] = solver.RunFromDual(inst.Eval.X, nil)
-			}(r)
-		}
-		wg.Wait()
-		ls.Close()
-	}
-	for r := 0; r < k; r++ {
-		if errs[r] != nil {
-			return nil, errs[r]
 		}
 	}
 	return results, nil
@@ -272,8 +240,7 @@ func Summarize(samples []Sample, a0 float64) *MCResult {
 	return out
 }
 
-// solveSample is the solo reference path: one perturbed replica, one
-// plain solver — the bit-identity anchor for the lockstep schedule.
+// solveSample solves one sample: one perturbed replica, one plain solver.
 func solveSample(inst *bench.Instance, p rc.Perturb, sopt core.Options) (*core.Result, error) {
 	ev, err := inst.PerturbedReplica(p)
 	if err != nil {
@@ -326,8 +293,8 @@ type RobustResult struct {
 // Robust minimizes μ+kσ of delay subject to the noise and power bounds,
 // as an outer loop over the deterministic solver: each trial tightens
 // (or relaxes) the delay target, solves the nominal instance there, and
-// scores the resulting fixed design by evaluating it — one batched
-// levelized pass — across the Monte-Carlo perturbation set. The design
+// scores the resulting fixed design by evaluating it — one Recompute per
+// sample — across the Monte-Carlo perturbation set. The design
 // whose delay distribution minimizes μ+kσ wins; per-trial yield against
 // the base A0 gives the Table-1-style yield report.
 func Robust(inst *bench.Instance, opt RobustOptions) (*RobustResult, error) {
@@ -356,15 +323,13 @@ func Robust(inst *bench.Instance, opt RobustOptions) (*RobustResult, error) {
 	}
 	bounds := resolveBounds(inst, opt.MC.Bounds)
 
-	// One perturbed batch, reused across trials: scoring a fixed design
-	// over all samples is a single batched Recompute, no solves.
-	b, err := inst.PerturbedBatch(perturbs)
-	if err != nil {
-		return nil, err
-	}
-	reps := make([]int, b.Len())
-	for r := range reps {
-		reps[r] = r
+	// One perturbed replica per sample, reused across trials: scoring a
+	// fixed design over all samples is one Recompute each, no solves.
+	reps := make([]*rc.Evaluator, len(perturbs))
+	for r, p := range perturbs {
+		if reps[r], err = inst.PerturbedReplica(p); err != nil {
+			return nil, err
+		}
 	}
 
 	out := &RobustResult{K: k, Trials: make([]RobustTrial, 0, len(scales))}
@@ -391,15 +356,13 @@ func Robust(inst *bench.Instance, opt RobustOptions) (*RobustResult, error) {
 			return nil, err
 		}
 		delays := make([]float64, len(reps))
-		for _, r := range reps {
-			if err := b.Ev(r).SetSizes(res.X); err != nil {
+		pass := 0
+		for r, ev := range reps {
+			if err := ev.SetSizes(res.X); err != nil {
 				return nil, err
 			}
-		}
-		b.RecomputeAll(reps)
-		pass := 0
-		for _, r := range reps {
-			delays[r] = b.Ev(r).MaxArrival()
+			ev.Recompute()
+			delays[r] = ev.MaxArrival()
 			if delays[r] <= bounds.A0 {
 				pass++
 			}

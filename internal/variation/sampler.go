@@ -70,14 +70,23 @@ func gauss(seed, sample, param uint64) float64 {
 	return math.Sqrt(-2*math.Log(1-u1)) * math.Cos(2*math.Pi*u2)
 }
 
+// MaxSamples caps the sample count of one Monte-Carlo run. Every sample is
+// a full solve, so real runs stay far below it; the cap exists so that a
+// request for billions of samples is refused before anything sized by the
+// count is allocated.
+const MaxSamples = 4096
+
 // Perturbs draws the k-sample perturbation set for (seed, sigmas):
 // sample i's scalars are exp(σ·z) with independent z per parameter. The
 // result is a pure function of the arguments — the determinism anchor
-// every Monte-Carlo bit-identity contract (rerun, lockstep vs solo,
-// distributed vs local) reduces to.
+// every Monte-Carlo bit-identity contract (rerun, any sample
+// width, distributed vs local) reduces to.
 func Perturbs(seed uint64, k int, s Sigmas) ([]rc.Perturb, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("variation: sample count must be positive, got %d", k)
+	}
+	if k > MaxSamples {
+		return nil, fmt.Errorf("variation: sample count %d exceeds the cap of %d", k, MaxSamples)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -11,7 +11,7 @@ import (
 	"repro/internal/rc"
 )
 
-// testInstance is the deterministic coupled mesh the sweep and lockstep
+// testInstance is the deterministic coupled mesh the sweep and variation
 // suites pin their oracles on — the same construction the farm
 // re-materializes by key, so every bit-identity proved here transfers to
 // the distributed path.
@@ -47,18 +47,18 @@ func runMC(t *testing.T, inst *bench.Instance, opt MCOptions) *MCResult {
 	return res
 }
 
-// TestMonteCarloSampleBitIdentical is the evaluator-mode oracle: every
-// lockstep sample must be bitwise equal to a solo solve of the same
-// perturbed instance, at every lockstep width. This is the contract that
-// lets the farm shard samples across workers — a shard is just a solo
-// (or smaller-lockstep) run of its sample indices.
+// TestMonteCarloSampleBitIdentical is the evaluator-mode oracle: samples
+// fanned out over several goroutines must be bitwise equal to the
+// sequential Workers: 1 run. This is the contract that lets the farm
+// shard samples across workers — a shard is just a smaller run of its
+// sample indices.
 func TestMonteCarloSampleBitIdentical(t *testing.T) {
 	inst, b := testInstance(t, 10, 8)
-	ref := runMC(t, inst, testMCOptions(b, func(o *MCOptions) { o.Solo = true }))
-	for _, w := range []int{0, 4} {
+	ref := runMC(t, inst, testMCOptions(b, func(o *MCOptions) { o.Workers = 1 }))
+	for _, w := range []int{2, -1} {
 		got := runMC(t, inst, testMCOptions(b, func(o *MCOptions) { o.Workers = w }))
 		if !reflect.DeepEqual(ref, got) {
-			t.Errorf("lockstep Workers=%d diverged from solo reference", w)
+			t.Errorf("Workers=%d diverged from the sequential reference", w)
 		}
 	}
 }
@@ -125,6 +125,8 @@ func TestSamplerRejectsBadInputs(t *testing.T) {
 	}{
 		{"zero samples", 0, Sigmas{}, "sample count must be positive"},
 		{"negative samples", -3, Sigmas{}, "sample count must be positive"},
+		{"above cap", MaxSamples + 1, Sigmas{}, "exceeds the cap"},
+		{"at cap", MaxSamples, Sigmas{}, ""},
 		{"nan R", 4, Sigmas{R: math.NaN()}, "sigma R"},
 		{"negative C", 4, Sigmas{C: -0.1}, "sigma C"},
 		{"inf threshold", 4, Sigmas{Threshold: math.Inf(1)}, "sigma Threshold"},
